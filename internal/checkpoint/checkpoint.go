@@ -524,10 +524,3 @@ func (w *Writer) Len() int {
 	defer w.mu.Unlock()
 	return len(w.snap.Records)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -1,6 +1,6 @@
 // Append-only record log: the persist-before-accept store behind streaming
-// ingest. Where the MBCP snapshot rewrites the whole state atomically per
-// update, a stream of small records wants O(1) durable appends — each
+// ingest and the cosim replay log. Where the MBCP snapshot rewrites the
+// whole state atomically per update, small records want O(1) appends — each
 // record becomes one CRC-guarded line, fsynced before the append returns,
 // so an acked record survives a crash and a torn final write (power loss
 // mid-append) is detected and dropped without condemning the records
@@ -21,6 +21,7 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -31,42 +32,74 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Log is an append-only record log. Appends are durable when they return;
 // concurrent appenders must serialize externally (the log holds no lock:
-// its single caller, the stream ingest path, already owns the ordering).
+// each caller — the stream ingest path, the cosim replay log — already
+// owns the ordering). A Log must be its file's only writer: a failed
+// append truncates the file back to the length this Log last wrote.
 type Log struct {
-	f    *os.File
-	path string
+	f    logFile
+	size int64 // file length at open plus every append that returned nil
+	err  error // sticky: a failed append could not be rolled back
+}
+
+// logFile is the file behind a Log; tests substitute one that fails.
+type logFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
 }
 
 // OpenLog opens (creating if absent) the log at path for appending and
-// syncs the parent directory so the file itself survives a crash.
+// syncs the parent directory so the file itself survives a crash. The
+// file must end on a record boundary: recovery truncates a torn tail
+// (ReadLog, then TruncateLog) before opening.
 func OpenLog(path string) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: opening log: %w", err)
 	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("checkpoint: opening log: %w", err)
+	}
 	syncDir(filepath.Dir(path))
-	return &Log{f: f, path: path}, nil
+	return &Log{f: f, size: st.Size()}, nil
 }
 
-// Append writes one record and fsyncs before returning: when Append
-// returns nil the record is on disk, which is what lets an ingest path ack
-// only after persisting. The payload must not contain a newline (the
-// record separator).
-func (l *Log) Append(payload []byte) error {
-	if bytes.IndexByte(payload, '\n') >= 0 {
-		return fmt.Errorf("checkpoint: log payload must not contain a newline")
+// Append writes the records with one write and one fsync: when Append
+// returns nil every record is on disk, which is what lets an ingest path
+// ack only after persisting. No payload may contain a newline (the record
+// separator). A failed write or fsync truncates the file back to its
+// length before the call, so no partial record is left for the next append
+// to merge with; if that rollback fails too, the file may end in a partial
+// record, and every later Append returns the same error.
+func (l *Log) Append(payloads ...[]byte) error {
+	if l.err != nil {
+		return l.err
 	}
-	line := make([]byte, 0, len(payload)+10)
-	line = fmt.Appendf(line, "%08x ", crc32.Checksum(payload, crcTable))
-	line = append(line, payload...)
-	line = append(line, '\n')
-	if _, err := l.f.Write(line); err != nil {
-		return fmt.Errorf("checkpoint: appending log record: %w", err)
+	var buf []byte
+	for _, p := range payloads {
+		if bytes.IndexByte(p, '\n') >= 0 {
+			return fmt.Errorf("checkpoint: log payload must not contain a newline")
+		}
+		buf = fmt.Appendf(buf, "%08x ", crc32.Checksum(p, crcTable))
+		buf = append(append(buf, p...), '\n')
 	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: syncing log: %w", err)
+	_, err := l.f.Write(buf)
+	if err == nil {
+		err = l.f.Sync()
 	}
-	return nil
+	if err == nil {
+		l.size += int64(len(buf))
+		return nil
+	}
+	err = fmt.Errorf("checkpoint: appending to log: %w", err)
+	if rerr := errors.Join(l.f.Truncate(l.size), l.f.Sync()); rerr != nil {
+		l.err = fmt.Errorf("%w; rolling back failed: %v", err, rerr)
+		return l.err
+	}
+	return err
 }
 
 // Close closes the underlying file.

@@ -213,3 +213,141 @@ func TestLogCorruptFinalRefused(t *testing.T) {
 		t.Fatalf("ReadLog(corrupt final) = %v, want *CorruptLogError at line 2", err)
 	}
 }
+
+// faultyFile is the log-file seam under test: it counts calls and fails
+// once on cue — a write that lands only half its bytes, a failing fsync, a
+// failing truncate.
+type faultyFile struct {
+	*os.File
+	halfWrite, failSync, failTruncate bool
+	writes, syncs                     int
+}
+
+func (f *faultyFile) Write(p []byte) (int, error) {
+	f.writes++
+	if f.halfWrite {
+		f.halfWrite = false
+		n, _ := f.File.Write(p[:len(p)/2])
+		return n, errors.New("injected short write")
+	}
+	return f.File.Write(p)
+}
+
+func (f *faultyFile) Sync() error {
+	f.syncs++
+	if f.failSync {
+		f.failSync = false
+		return errors.New("injected fsync failure")
+	}
+	return f.File.Sync()
+}
+
+func (f *faultyFile) Truncate(size int64) error {
+	if f.failTruncate {
+		f.failTruncate = false
+		return errors.New("injected truncate failure")
+	}
+	return f.File.Truncate(size)
+}
+
+func openFaultyLog(t *testing.T, path string) (*Log, *faultyFile) {
+	t.Helper()
+	l, err := OpenLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff := &faultyFile{File: l.f.(*os.File)}
+	l.f = ff
+	t.Cleanup(func() { l.Close() })
+	return l, ff
+}
+
+func readRecords(t *testing.T, path string) []string {
+	t.Helper()
+	got, valid, err := ReadLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(path); err != nil || valid != st.Size() {
+		t.Fatalf("valid prefix %d does not cover the whole file", valid)
+	}
+	out := make([]string, len(got))
+	for i, p := range got {
+		out[i] = string(p)
+	}
+	return out
+}
+
+// Append writes a batch of records with one write and one fsync, and
+// refuses the whole batch when any payload holds a newline.
+func TestLogAppendBatch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "replay.log")
+	l, ff := openFaultyLog(t, path)
+	if err := l.Append([]byte(`{"a":1}`), []byte(`{"b":2}`), []byte(`{"c":3}`)); err != nil {
+		t.Fatal(err)
+	}
+	if ff.writes != 1 || ff.syncs != 1 {
+		t.Fatalf("batch append took %d writes and %d fsyncs, want 1 and 1", ff.writes, ff.syncs)
+	}
+	if err := l.Append([]byte(`{"d":4}`), []byte("two\nlines")); err == nil {
+		t.Fatal("Append accepted a batch holding a newline payload")
+	}
+	if got := readRecords(t, path); strings.Join(got, " ") != `{"a":1} {"b":2} {"c":3}` {
+		t.Fatalf("log holds %q", got)
+	}
+}
+
+// A failed write or fsync leaves no bytes behind: the log truncates back to
+// its pre-call length, so retrying the same record (the stream engine
+// re-acks the same sequence number) yields a clean log instead of a partial
+// record merged with the retry.
+func TestLogFailedAppendRollsBack(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		inject func(*faultyFile)
+	}{
+		{"half write", func(f *faultyFile) { f.halfWrite = true }},
+		{"failed fsync", func(f *faultyFile) { f.failSync = true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "stream.log")
+			writeLogRecords(t, path, `{"seq":1}`)
+			l, ff := openFaultyLog(t, path)
+			tc.inject(ff)
+			if err := l.Append([]byte(`{"seq":2}`)); err == nil {
+				t.Fatal("Append reported success through an injected fault")
+			}
+			if err := l.Append([]byte(`{"seq":2}`)); err != nil {
+				t.Fatalf("retry after a rolled-back append: %v", err)
+			}
+			if got := readRecords(t, path); strings.Join(got, " ") != `{"seq":1} {"seq":2}` {
+				t.Fatalf("log holds %q after the rolled-back append and its retry", got)
+			}
+		})
+	}
+}
+
+// When the rollback fails too, the file may end in a partial record, so
+// the log refuses every later append instead of merging a record into it.
+// Recovery (ReadLog, TruncateLog) still drops the torn tail.
+func TestLogFailedRollbackIsSticky(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stream.log")
+	writeLogRecords(t, path, `{"seq":1}`)
+	l, ff := openFaultyLog(t, path)
+	ff.halfWrite, ff.failTruncate = true, true
+	first := l.Append([]byte(`{"seq":2}`))
+	if first == nil {
+		t.Fatal("Append reported success through an injected fault")
+	}
+	ff.writes = 0
+	if err := l.Append([]byte(`{"seq":2}`)); err == nil || err.Error() != first.Error() {
+		t.Fatalf("append after a failed rollback = %v, want the sticky %v", err, first)
+	}
+	if ff.writes != 0 {
+		t.Fatalf("a poisoned log wrote %d more times", ff.writes)
+	}
+	got, _, err := ReadLog(path)
+	if err != nil || len(got) != 1 {
+		t.Fatalf("recovery read %d records (%v), want the 1 acked", len(got), err)
+	}
+}

@@ -23,12 +23,12 @@
 package cosim
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
 	"mobilebench/internal/mem"
 	"mobilebench/internal/soc"
+	"mobilebench/internal/wire"
 )
 
 // ProtoVersion is the wire-protocol version this build speaks. A welcome
@@ -118,34 +118,12 @@ type Frame struct {
 
 // ProtoError reports a frame that failed decoding or validation. The
 // supervisor counts it as a strike against the child that produced it.
-type ProtoError struct {
-	Reason string
-}
+type ProtoError = wire.Error
 
-// Error implements error.
-func (e *ProtoError) Error() string { return "cosim: protocol error: " + e.Reason }
-
-// ParseFrame decodes and validates one frame line. It never panics on any
-// input: malformed JSON, oversized lines, unknown types and frames missing
-// their type's required fields all return a *ProtoError.
+// ParseFrame decodes and validates one frame line; any input it refuses,
+// it refuses with a *ProtoError, never a panic (see wire.Parse).
 func ParseFrame(line []byte) (Frame, error) {
-	var f Frame
-	if len(line) > MaxFrameBytes {
-		return f, &ProtoError{Reason: fmt.Sprintf("frame of %d bytes exceeds the %d-byte bound", len(line), MaxFrameBytes)}
-	}
-	dec := json.NewDecoder(bytes.NewReader(line))
-	if err := dec.Decode(&f); err != nil {
-		return Frame{}, &ProtoError{Reason: "undecodable frame: " + err.Error()}
-	}
-	// One object per line: trailing non-space bytes are a framing bug, not
-	// data to be silently dropped.
-	if dec.More() {
-		return Frame{}, &ProtoError{Reason: "trailing data after the frame object"}
-	}
-	if err := f.Validate(); err != nil {
-		return Frame{}, err
-	}
-	return f, nil
+	return wire.Parse[Frame](line, MaxFrameBytes)
 }
 
 // Validate enforces the per-type required fields.
@@ -182,11 +160,6 @@ func (f Frame) Validate() error {
 		if len(f.Replies) == 0 {
 			return &ProtoError{Reason: "replies without replies"}
 		}
-		for i, r := range f.Replies {
-			if len(r.State) > 0 && !json.Valid(r.State) {
-				return &ProtoError{Reason: fmt.Sprintf("reply %d carries an invalid state document", i)}
-			}
-		}
 	case "":
 		return &ProtoError{Reason: "frame without a type"}
 	default:
@@ -211,26 +184,13 @@ func (q Query) validate() error {
 	if q.DT <= 0 {
 		return fmt.Errorf("query without a positive dt")
 	}
-	if len(q.State) > 0 && !json.Valid(q.State) {
-		return fmt.Errorf("query carries an invalid state document")
-	}
 	return nil
 }
 
 // EncodeFrame serializes a validated frame as one newline-terminated JSON
 // line, the exact bytes ParseFrame accepts back.
 func EncodeFrame(f Frame) ([]byte, error) {
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	data, err := json.Marshal(f)
-	if err != nil {
-		return nil, &ProtoError{Reason: "unencodable frame: " + err.Error()}
-	}
-	if len(data) > MaxFrameBytes {
-		return nil, &ProtoError{Reason: fmt.Sprintf("frame of %d bytes exceeds the %d-byte bound", len(data), MaxFrameBytes)}
-	}
-	return append(data, '\n'), nil
+	return wire.Encode(f, MaxFrameBytes)
 }
 
 // queryKey renders a query's canonical replay-log key: the full encoded

@@ -8,36 +8,26 @@
 package cosim
 
 import (
-	"bytes"
-	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"io/fs"
 	"os"
-	"sort"
 	"sync"
 
 	"mobilebench/internal/checkpoint"
 )
 
-// Replay-log file format: magic, version, record count, records (each a
-// length-prefixed key and value), and a trailing CRC-32 (IEEE) of every
-// preceding byte. Records are written in sorted key order, so the file
-// bytes are a pure function of its contents.
-var replayMagic = [4]byte{'M', 'B', 'R', 'L'}
-
-// ReplayVersion is the log schema version.
-const ReplayVersion = 1
-
-// maxReplayRecord bounds one key or value; anything larger marks a corrupt
-// file rather than an allocation to attempt.
-const maxReplayRecord = MaxFrameBytes
-
 // replayFlushEvery is how many new records accumulate before MaybeFlush
-// rewrites the log on disk (it also flushes on Close/Flush).
+// appends them to the log on disk (Flush and Close append unconditionally).
 const replayFlushEvery = 256
+
+// replayRecord is one logged reply, the checkpoint.Log payload
+// {"q":<query>,"r":<reply>} with both embedded as JSON documents.
+type replayRecord struct {
+	Query json.RawMessage `json:"q"`
+	Reply json.RawMessage `json:"r"`
+}
 
 // LogError reports an unusable replay-log file. Corruption is loud: a
 // damaged log could silently serve wrong replies, so it fails the open
@@ -50,103 +40,67 @@ type LogError struct {
 // Error implements error.
 func (e *LogError) Error() string { return fmt.Sprintf("cosim: replay log %s: %s", e.Path, e.Reason) }
 
-// ReplayLog is the supervisor's reply cache: an in-memory map persisted as
-// a CRC'd file through checkpoint.AtomicFile. A nil *ReplayLog is valid and
-// caches nothing (replay disabled). Safe for concurrent use.
+// ReplayLog is the supervisor's reply cache: an in-memory map backed by a
+// checkpoint.Log of replayRecords. A nil *ReplayLog is valid and caches
+// nothing (replay disabled). Safe for concurrent use.
 //
-// Persistence is deferred: Put is pure in-memory, and flushing encodes a
-// snapshot under mu but performs the file write under a separate write
-// mutex, so Get/Put/Len are never stalled behind disk I/O (the PR-8
-// supervisor-stall class: a flush under the map mutex blocked every
-// reader for the duration of an atomic rewrite).
+// Persistence is deferred: Put is pure in-memory, and a flush appends under
+// a separate write mutex, so Get/Put/Len never wait on the disk.
 type ReplayLog struct {
-	// mu guards the map and the generation counters; it is only ever held
-	// for in-memory work.
+	// mu guards the map and the dirty list; it is only ever held for
+	// in-memory work.
 	mu   sync.Mutex
 	path string
 	m    map[string][]byte
-	// puts counts accepted Puts; flushed is the puts value captured by the
-	// last durable flush. Their difference is the dirty-record count.
-	puts    uint64
-	flushed uint64
-	// wmu serializes flushers' file writes. Never held together with mu,
-	// and never taken by Get/Put/Len.
+	// dirty holds the records Put since the last durable flush, in Put
+	// order. Put only appends and a successful flush only removes the
+	// prefix it wrote, so records that arrive mid-flush stay dirty.
+	dirty [][]byte
+	// wmu serializes flushers; it guards log, which the first flush opens.
+	// Never held together with mu, and never taken by Get/Put/Len.
 	wmu sync.Mutex
+	log *checkpoint.Log
 }
 
 // OpenReplayLog loads the log at path, or starts an empty one when the file
-// does not exist yet. A corrupt, truncated or version-skewed file returns a
-// *LogError.
+// does not exist yet. Loading follows checkpoint.Log's recovery rule: a
+// torn final record (no newline: its flush never returned) is dropped and
+// truncated away, while a damaged newline-terminated record, or a file in
+// the MBRL format of older builds, returns a *LogError. When a query was
+// logged twice, the first record wins.
 func OpenReplayLog(path string) (*ReplayLog, error) {
-	l := &ReplayLog{path: path, m: make(map[string][]byte)}
-	data, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		if err := l.decode(data); err != nil {
-			return nil, err
+	// ReadLog would take a newline-free MBRL file for one torn record and
+	// truncate it to nothing.
+	if f, err := os.Open(path); err == nil {
+		head := make([]byte, 4)
+		n, _ := io.ReadFull(f, head)
+		f.Close()
+		if string(head[:n]) == "MBRL" {
+			return nil, &LogError{Path: path, Reason: "MBRL-format log from an older build; delete it to start a fresh log"}
 		}
-	case errors.Is(err, fs.ErrNotExist):
-		// Fresh start.
-	default:
+	}
+	payloads, valid, err := checkpoint.ReadLog(path)
+	var ce *checkpoint.CorruptLogError
+	if errors.As(err, &ce) {
+		return nil, &LogError{Path: path, Reason: fmt.Sprintf("record %d: %s", ce.Line, ce.Why)}
+	}
+	if err != nil {
 		return nil, err
+	}
+	if err := checkpoint.TruncateLog(path, valid); err != nil {
+		return nil, err
+	}
+	l := &ReplayLog{path: path, m: make(map[string][]byte, len(payloads))}
+	for i, p := range payloads {
+		var rec replayRecord
+		if err := json.Unmarshal(p, &rec); err != nil || len(rec.Query) == 0 || len(rec.Reply) == 0 {
+			return nil, &LogError{Path: path, Reason: fmt.Sprintf("record %d is not a logged reply", i+1)}
+		}
+		if _, ok := l.m[string(rec.Query)]; !ok {
+			l.m[string(rec.Query)] = rec.Reply
+		}
 	}
 	return l, nil
-}
-
-func (l *ReplayLog) decode(data []byte) error {
-	fail := func(reason string) error { return &LogError{Path: l.path, Reason: reason} }
-	if len(data) < len(replayMagic)+4+8+4 {
-		return fail("file too short to be a replay log")
-	}
-	if !bytes.Equal(data[:4], replayMagic[:]) {
-		return fail("bad magic (not a replay log)")
-	}
-	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return fail("checksum mismatch (corrupt or truncated)")
-	}
-	r := bytes.NewReader(body[4:])
-	var version uint32
-	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
-		return fail("unreadable version")
-	}
-	if version != ReplayVersion {
-		return fail(fmt.Sprintf("schema version %d (this build reads %d)", version, ReplayVersion))
-	}
-	var count uint64
-	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
-		return fail("unreadable record count")
-	}
-	for i := uint64(0); i < count; i++ {
-		key, err := readBlob(r)
-		if err != nil {
-			return fail(fmt.Sprintf("record %d key: %v", i, err))
-		}
-		val, err := readBlob(r)
-		if err != nil {
-			return fail(fmt.Sprintf("record %d value: %v", i, err))
-		}
-		l.m[string(key)] = val
-	}
-	if r.Len() != 0 {
-		return fail("trailing bytes after the last record")
-	}
-	return nil
-}
-
-func readBlob(r *bytes.Reader) ([]byte, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	if n > maxReplayRecord {
-		return nil, fmt.Errorf("blob of %d bytes exceeds the %d-byte bound", n, maxReplayRecord)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
-	}
-	return b, nil
 }
 
 // Get returns the logged reply bytes for the query key.
@@ -160,11 +114,12 @@ func (l *ReplayLog) Get(key string) ([]byte, bool) {
 	return v, ok
 }
 
-// Put records a reply under its query key, purely in memory. Re-putting
-// an existing key is a no-op: first write wins, so a reply can never
-// change under a key. Callers make the record durable with MaybeFlush
-// (batched) or Flush (unconditional) once they are outside their own
-// critical sections.
+// Put records a reply under its query key, purely in memory. Key and reply
+// must be compact JSON documents, as queryKey and json.Marshal render them.
+// Re-putting an existing key is a no-op: first write wins, so a reply can
+// never change under a key. Callers make the record durable with
+// MaybeFlush (batched) or Flush (unconditional) once they are outside
+// their own critical sections.
 func (l *ReplayLog) Put(key string, reply []byte) {
 	if l == nil {
 		return
@@ -175,7 +130,8 @@ func (l *ReplayLog) Put(key string, reply []byte) {
 		return
 	}
 	l.m[key] = append([]byte(nil), reply...)
-	l.puts++
+	rec := append(append([]byte(`{"q":`), key...), `,"r":`...)
+	l.dirty = append(l.dirty, append(append(rec, reply...), '}'))
 }
 
 // Len returns the number of logged replies.
@@ -196,7 +152,7 @@ func (l *ReplayLog) MaybeFlush() error {
 		return nil
 	}
 	l.mu.Lock()
-	dirty := l.puts - l.flushed
+	dirty := len(l.dirty)
 	l.mu.Unlock()
 	if dirty < replayFlushEvery {
 		return nil
@@ -204,12 +160,10 @@ func (l *ReplayLog) MaybeFlush() error {
 	return l.Flush()
 }
 
-// Flush persists the log atomically (temp + fsync + rename); a crash
-// mid-flush leaves the previous file intact. The snapshot is encoded
-// under the map mutex, but the file write happens under the separate
-// write mutex, so concurrent Get/Put never wait on disk. A failed write
-// leaves the flushed generation unchanged: the records stay dirty and
-// the next flush retries them.
+// Flush appends every dirty record to the log in one checkpoint.Log.Append
+// — one write, one fsync. A crash mid-flush leaves at most a torn final
+// record, which the next open drops. A failed append leaves the records
+// dirty, so the next flush retries them.
 func (l *ReplayLog) Flush() error {
 	if l == nil {
 		return nil
@@ -217,48 +171,39 @@ func (l *ReplayLog) Flush() error {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
 	l.mu.Lock()
-	if l.puts == l.flushed {
-		l.mu.Unlock()
+	batch := l.dirty
+	l.mu.Unlock()
+	if len(batch) == 0 {
 		return nil
 	}
-	gen := l.puts
-	data := l.encodeLocked()
-	l.mu.Unlock()
-	//mblint:ignore mutexhold l.wmu exists solely to serialize flushers' writes; Get/Put/Len never take it
-	if err := checkpoint.WriteFile(l.path, data, 0o644); err != nil {
+	if l.log == nil {
+		//mblint:ignore mutexhold l.wmu exists solely to serialize flushers; Get/Put/Len never take it
+		lg, err := checkpoint.OpenLog(l.path)
+		if err != nil {
+			return err
+		}
+		l.log = lg
+	}
+	if err := l.log.Append(batch...); err != nil {
 		return err
 	}
 	l.mu.Lock()
-	// Puts that arrived while the file was being written are newer than
-	// the snapshot on disk; the generation guard keeps them dirty.
-	if l.flushed < gen {
-		l.flushed = gen
-	}
+	l.dirty = l.dirty[len(batch):]
 	l.mu.Unlock()
 	return nil
 }
 
-// encodeLocked renders the file bytes for the current contents. l.mu held.
-func (l *ReplayLog) encodeLocked() []byte {
-	keys := make([]string, 0, len(l.m))
-	for k := range l.m {
-		keys = append(keys, k)
+// Close flushes the dirty records and closes the log file.
+func (l *ReplayLog) Close() error {
+	if l == nil {
+		return nil
 	}
-	// Sorted order makes the file bytes a pure function of the contents,
-	// independent of insertion (and map-iteration) order.
-	sort.Strings(keys)
-	var b bytes.Buffer
-	b.Write(replayMagic[:])
-	_ = binary.Write(&b, binary.LittleEndian, uint32(ReplayVersion))
-	_ = binary.Write(&b, binary.LittleEndian, uint64(len(keys)))
-	for _, k := range keys {
-		_ = binary.Write(&b, binary.LittleEndian, uint32(len(k)))
-		b.WriteString(k)
-		v := l.m[k]
-		_ = binary.Write(&b, binary.LittleEndian, uint32(len(v)))
-		b.Write(v)
+	err := l.Flush()
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	if l.log != nil {
+		err = errors.Join(err, l.log.Close())
+		l.log = nil
 	}
-	sum := crc32.ChecksumIEEE(b.Bytes())
-	_ = binary.Write(&b, binary.LittleEndian, sum)
-	return b.Bytes()
+	return err
 }

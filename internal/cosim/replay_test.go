@@ -1,12 +1,16 @@
 package cosim
 
 import (
-	"encoding/binary"
+	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+
+	"mobilebench/internal/checkpoint"
 )
 
 func tmpLog(t *testing.T) string {
@@ -21,8 +25,8 @@ func TestReplayLogRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenReplayLog: %v", err)
 	}
-	l.Put("q1", []byte(`{"mem":{}}`))
-	l.Put("q2", []byte(`{"io":{}}`))
+	l.Put(`{"q":1}`, []byte(`{"mem":{}}`))
+	l.Put(`{"q":2}`, []byte(`{"io":{}}`))
 	if err := l.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
@@ -33,7 +37,7 @@ func TestReplayLogRoundTrip(t *testing.T) {
 	if re.Len() != 2 {
 		t.Fatalf("reopened log has %d records, want 2", re.Len())
 	}
-	v, ok := re.Get("q1")
+	v, ok := re.Get(`{"q":1}`)
 	if !ok || string(v) != `{"mem":{}}` {
 		t.Fatalf("Get(q1) = %q, %v", v, ok)
 	}
@@ -82,7 +86,7 @@ func TestReplayLogMaybeFlushBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < replayFlushEvery-1; i++ {
-		l.Put(fmt.Sprintf("k%04d", i), []byte("v"))
+		l.Put(fmt.Sprintf(`{"k":%d}`, i), []byte(`"v"`))
 	}
 	if err := l.MaybeFlush(); err != nil {
 		t.Fatal(err)
@@ -90,7 +94,7 @@ func TestReplayLogMaybeFlushBatches(t *testing.T) {
 	if _, err := os.Stat(path); err == nil {
 		t.Fatal("MaybeFlush wrote below the batching threshold")
 	}
-	l.Put("last", []byte("v"))
+	l.Put(`{"k":"last"}`, []byte(`"v"`))
 	if err := l.MaybeFlush(); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +127,7 @@ func TestReplayLogFailedFlushStaysDirty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Put("k", []byte("v"))
+	l.Put(`{"k":1}`, []byte(`"v"`))
 	if err := l.Flush(); err == nil {
 		t.Fatal("Flush into a missing directory succeeded")
 	}
@@ -142,79 +146,163 @@ func TestReplayLogFailedFlushStaysDirty(t *testing.T) {
 	}
 }
 
-// TestReplayLogDeterministicBytes: the file bytes are a pure function of
-// the contents, independent of insertion order.
-func TestReplayLogDeterministicBytes(t *testing.T) {
+// TestReplayLogConcurrentFlush: Puts racing flushes lose nothing — every
+// record lands in the log exactly once or stays dirty for the next flush.
+func TestReplayLogConcurrentFlush(t *testing.T) {
+	path := tmpLog(t)
+	l, err := OpenReplayLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, each = 4, 300
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				l.Put(fmt.Sprintf(`{"w":%d,"i":%d}`, w, i), []byte(`{}`))
+				if err := l.MaybeFlush(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	payloads, _, err := checkpoint.ReadLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(payloads) != writers*each {
+		t.Fatalf("log holds %d records, want %d", len(payloads), writers*each)
+	}
+	re, err := OpenReplayLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Len() != writers*each {
+		t.Fatalf("reopened log serves %d replies, want %d", re.Len(), writers*each)
+	}
+}
+
+// TestReplayLogOrderIndependent: logs built from the same puts in
+// different orders serve identical replies. (The file bytes follow put
+// order; what a resume sees is the Get results.)
+func TestReplayLogOrderIndependent(t *testing.T) {
 	dir := t.TempDir()
-	write := func(name string, keys []string) []byte {
+	keys := []string{`{"k":"x"}`, `{"k":"y"}`, `{"k":"z"}`}
+	write := func(name string, order []int) *ReplayLog {
 		t.Helper()
 		path := filepath.Join(dir, name)
 		l, err := OpenReplayLog(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range keys {
-			l.Put(k, []byte("v-"+k))
+		for _, i := range order {
+			l.Put(keys[i], []byte(fmt.Sprintf(`{"v":%d}`, i)))
 		}
-		if err := l.Flush(); err != nil {
+		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		data, err := os.ReadFile(path)
+		re, err := OpenReplayLog(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return data
+		return re
 	}
-	a := write("a.log", []string{"x", "y", "z"})
-	b := write("b.log", []string{"z", "x", "y"})
-	if string(a) != string(b) {
-		t.Fatal("log bytes depend on insertion order")
+	a := write("a.log", []int{0, 1, 2})
+	b := write("b.log", []int{2, 0, 1})
+	if a.Len() != len(keys) || b.Len() != len(keys) {
+		t.Fatalf("reopened logs hold %d and %d replies, want %d", a.Len(), b.Len(), len(keys))
+	}
+	for _, k := range keys {
+		va, _ := a.Get(k)
+		vb, _ := b.Get(k)
+		if string(va) != string(vb) {
+			t.Fatalf("Get(%s) = %s vs %s: replies depend on put order", k, va, vb)
+		}
+	}
+}
+
+// TestReplayLogTornFlushDropped: a crash mid-flush leaves a newline-less
+// final record; reopening drops it, serves every earlier reply, and
+// appends after the intact prefix.
+func TestReplayLogTornFlushDropped(t *testing.T) {
+	path := tmpLog(t)
+	l, err := OpenReplayLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Put(`{"k":1}`, []byte(`{"v":1}`))
+	l.Put(`{"k":2}`, []byte(`{"v":2}`))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`0badf00d {"q":{"k":3},"r":{"v`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	re, err := OpenReplayLog(path)
+	if err != nil {
+		t.Fatalf("reopen after a torn flush: %v", err)
+	}
+	if re.Len() != 2 {
+		t.Fatalf("reopened log holds %d replies, want the 2 flushed before the tear", re.Len())
+	}
+	if v, ok := re.Get(`{"k":2}`); !ok || string(v) != `{"v":2}` {
+		t.Fatalf("Get(k2) = %q, %v", v, ok)
+	}
+	re.Put(`{"k":3}`, []byte(`{"v":3}`))
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := OpenReplayLog(path)
+	if err != nil {
+		t.Fatalf("reopen after appending past a torn tail: %v", err)
+	}
+	if v, ok := again.Get(`{"k":3}`); !ok || string(v) != `{"v":3}` {
+		t.Fatalf("reply appended after the torn tail: Get(k3) = %q, %v", v, ok)
 	}
 }
 
 // TestReplayLogRefusesDamage: corruption is loud — a damaged log fails the
-// open instead of silently serving wrong replies.
+// open instead of silently serving wrong replies, and so does a log in the
+// MBRL format older builds wrote, which the record reader would otherwise
+// take for one torn record and truncate to nothing.
 func TestReplayLogRefusesDamage(t *testing.T) {
 	path := tmpLog(t)
 	l, err := OpenReplayLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Put("key", []byte("value"))
-	if err := l.Flush(); err != nil {
+	l.Put(`{"key":1}`, []byte(`{"value":1}`))
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	damage := map[string]func() []byte{
+	damage := map[string][]byte{
 		"flipped byte": func() []byte {
 			d := append([]byte(nil), good...)
 			d[len(d)/2] ^= 0xff
 			return d
-		},
-		"truncated": func() []byte { return good[:len(good)-3] },
-		"bad magic": func() []byte {
-			d := append([]byte(nil), good...)
-			d[0] = 'X'
-			return d
-		},
-		"version skew": func() []byte {
-			d := append([]byte(nil), good...)
-			binary.LittleEndian.PutUint32(d[4:], ReplayVersion+1)
-			// Recompute the CRC so only the version is wrong.
-			binary.LittleEndian.PutUint32(d[len(d)-4:], crc32.ChecksumIEEE(d[:len(d)-4]))
-			return d
-		},
-		"trailing bytes": func() []byte {
-			d := append(append([]byte(nil), good...), "extra"...)
-			return d
-		},
-		"too short": func() []byte { return good[:6] },
+		}(),
+		"not a reply record": []byte(fmt.Sprintf("%08x [1]\n", crc32.Checksum([]byte("[1]"), crc32.MakeTable(crc32.Castagnoli)))),
+		"MBRL":               []byte("MBRL\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\xde\xad\xbe\xef"),
 	}
-	for name, make := range damage {
-		if err := os.WriteFile(path, make(), 0o644); err != nil {
+	for name, data := range damage {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		_, err := OpenReplayLog(path)
@@ -222,8 +310,12 @@ func TestReplayLogRefusesDamage(t *testing.T) {
 			t.Errorf("%s: OpenReplayLog accepted a damaged file", name)
 			continue
 		}
-		if _, ok := err.(*LogError); !ok {
+		var le *LogError
+		if !errors.As(err, &le) {
 			t.Errorf("%s: error is %T, want *LogError", name, err)
+		}
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, data) {
+			t.Errorf("%s: the refused file was modified", name)
 		}
 	}
 }

@@ -7,7 +7,7 @@
 package cosim
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -17,6 +17,7 @@ import (
 
 	"mobilebench/internal/checkpoint"
 	"mobilebench/internal/fault"
+	"mobilebench/internal/wire"
 )
 
 // ServeOptions configures one child process.
@@ -39,17 +40,13 @@ func Serve(r io.Reader, w io.Writer, opts ServeOptions) error {
 	if err != nil {
 		return err
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), MaxFrameBytes+4096)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return fmt.Errorf("cosim: reading hello: %w", err)
-		}
+	fr := wire.NewReader[Frame](r, MaxFrameBytes)
+	hello, err := fr.Next()
+	if errors.Is(err, io.EOF) {
 		return nil // EOF before hello: parent went away, clean exit
 	}
-	hello, err := ParseFrame(sc.Bytes())
 	if err != nil {
-		return err
+		return fmt.Errorf("cosim: reading hello: %w", err)
 	}
 	if hello.Type != TypeHello {
 		return &ProtoError{Reason: fmt.Sprintf("expected hello, got %q", hello.Type)}
@@ -70,16 +67,17 @@ func Serve(r io.Reader, w io.Writer, opts ServeOptions) error {
 	if err := writeFrame(w, Frame{Type: TypeWelcome, Proto: proto, Model: opts.Model, Exact: exact}); err != nil {
 		return err
 	}
-	batch := 0
-	for sc.Scan() {
-		f, err := ParseFrame(sc.Bytes())
+	for batch := 1; ; batch++ {
+		f, err := fr.Next()
+		if errors.Is(err, io.EOF) {
+			return nil // the parent closed our stdin: normal shutdown
+		}
 		if err != nil {
-			return err
+			return fmt.Errorf("cosim: reading batches: %w", err)
 		}
 		if f.Type != TypeBatch {
 			return &ProtoError{Reason: fmt.Sprintf("expected batch, got %q", f.Type)}
 		}
-		batch++
 		plan := opts.Chaos.PlanForBatch(batch)
 		if plan.Kill {
 			os.Exit(3)
@@ -106,20 +104,9 @@ func Serve(r io.Reader, w io.Writer, opts ServeOptions) error {
 			return err
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("cosim: reading batches: %w", err)
-	}
-	return nil
 }
 
-func writeFrame(w io.Writer, f Frame) error {
-	data, err := EncodeFrame(f)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
-}
+func writeFrame(w io.Writer, f Frame) error { return wire.Write(w, f, MaxFrameBytes) }
 
 func sleep(sec float64) {
 	t := time.NewTimer(time.Duration(sec * float64(time.Second)))

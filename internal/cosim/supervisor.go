@@ -10,8 +10,8 @@
 package cosim
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os/exec"
@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"mobilebench/internal/soc"
+	"mobilebench/internal/wire"
 	"mobilebench/internal/xrand"
 )
 
@@ -111,8 +112,10 @@ type ExchangeInfo struct {
 type child struct {
 	cmd   *exec.Cmd
 	stdin io.WriteCloser
-	// lines carries the child's stdout lines; closed on EOF (crash).
-	lines chan []byte
+	// frames carries the child's stdout frames; it closes on EOF (a crash)
+	// or after storing a line that is no frame's error in badLine.
+	frames  chan Frame
+	badLine error
 }
 
 // Supervisor runs and guards one external timing process. All exchanges are
@@ -206,7 +209,7 @@ func (s *Supervisor) Close() error {
 	s.mu.Unlock()
 	// The final flush runs outside s.mu: a slow disk at shutdown must not
 	// stall status accessors or sessions still observing the closed state.
-	return s.log.Flush()
+	return s.log.Close()
 }
 
 // Exchange answers the queries, in order: first from the replay log, then —
@@ -435,8 +438,8 @@ func (s *Supervisor) spawn(pinModel string, pinExact bool) (*child, string, bool
 	if err := cmd.Start(); err != nil {
 		return nil, "", false, fmt.Errorf("cosim: starting %s: %w", s.cfg.Command[0], err)
 	}
-	c := &child{cmd: cmd, stdin: stdin, lines: make(chan []byte, 4)}
-	go readLines(stdout, c.lines)
+	c := &child{cmd: cmd, stdin: stdin, frames: make(chan Frame, 4)}
+	go c.readFrames(stdout)
 	model, exact, err := s.handshake(c, pinModel, pinExact)
 	if err != nil {
 		killChild(c)
@@ -445,14 +448,20 @@ func (s *Supervisor) spawn(pinModel string, pinExact bool) (*child, string, bool
 	return c, model, exact, nil
 }
 
-// readLines pumps the child's stdout lines into the channel, closing it on
-// EOF — the supervisor's crash signal.
-func readLines(r io.Reader, lines chan<- []byte) {
-	defer close(lines)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), MaxFrameBytes+4096)
-	for sc.Scan() {
-		lines <- append([]byte(nil), sc.Bytes()...)
+// readFrames pumps the child's stdout into c.frames. A line that is no
+// frame (garbage, or longer than MaxFrameBytes) is a protocol strike.
+func (c *child) readFrames(r io.Reader) {
+	defer close(c.frames)
+	fr := wire.NewReader[Frame](r, MaxFrameBytes)
+	for {
+		f, err := fr.Next()
+		if err != nil {
+			if errors.As(err, new(*ProtoError)) {
+				c.badLine = err
+			}
+			return
+		}
+		c.frames <- f
 	}
 }
 
@@ -523,24 +532,23 @@ func (s *Supervisor) exchangeOnceLocked(queries []Query) ([]Reply, error) {
 }
 
 // roundTrip writes one frame and awaits the next within the deadline. A
-// timeout (hung child), closed line channel (crashed child) or unparsable
+// timeout (hung child), closed frame channel (crashed child) or unparsable
 // line (garbage) is an error the caller converts into a strike.
 func (s *Supervisor) roundTrip(c *child, out Frame, timeout time.Duration) (Frame, error) {
-	data, err := EncodeFrame(out)
-	if err != nil {
-		return Frame{}, err
-	}
-	if _, err := c.stdin.Write(data); err != nil {
+	if err := writeFrame(c.stdin, out); err != nil {
 		return Frame{}, fmt.Errorf("cosim: writing to child: %w", err)
 	}
 	t := time.NewTimer(timeout)
 	defer t.Stop()
 	select {
-	case line, ok := <-c.lines:
-		if !ok {
-			return Frame{}, fmt.Errorf("cosim: child exited (EOF on its stdout)")
+	case f, ok := <-c.frames:
+		if ok {
+			return f, nil
 		}
-		return ParseFrame(line)
+		if c.badLine != nil {
+			return Frame{}, c.badLine
+		}
+		return Frame{}, fmt.Errorf("cosim: child exited (EOF on its stdout)")
 	case <-t.C:
 		return Frame{}, fmt.Errorf("cosim: child did not answer within %v (hang)", timeout)
 	}
@@ -563,6 +571,6 @@ func killChild(c *child) {
 	// Reap the process and drain the reader; both complete promptly after
 	// the kill closed the pipes.
 	_ = c.cmd.Wait()
-	for range c.lines {
+	for range c.frames {
 	}
 }

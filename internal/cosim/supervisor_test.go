@@ -1,7 +1,9 @@
 package cosim_test
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -20,7 +22,13 @@ import (
 // stdin/stdout instead of running tests — the same re-exec pattern real
 // deployments use with cmd/mbtiming, but available under -race and without
 // building a second binary.
+//
+// MBCOSIM_CHILD=oversize re-execs a child that handshakes normally and
+// then answers its first batch with a line past MaxFrameBytes.
 func TestMain(m *testing.M) {
+	if os.Getenv("MBCOSIM_CHILD") == "oversize" {
+		oversizeChild()
+	}
 	if os.Getenv("MBCOSIM_CHILD") == "1" {
 		chaos, err := fault.ParseCosim(os.Getenv("MBCOSIM_CHAOS"))
 		if err != nil {
@@ -38,6 +46,24 @@ func TestMain(m *testing.M) {
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
+}
+
+func oversizeChild() {
+	in := bufio.NewReader(os.Stdin)
+	if _, err := in.ReadBytes('\n'); err != nil {
+		os.Exit(1)
+	}
+	welcome, err := cosim.EncodeFrame(cosim.Frame{Type: cosim.TypeWelcome, Proto: cosim.ProtoVersion, Model: cosim.ModelAnalytic, Exact: true})
+	if err != nil {
+		os.Exit(1)
+	}
+	os.Stdout.Write(welcome)
+	if _, err := in.ReadBytes('\n'); err != nil {
+		os.Exit(1)
+	}
+	os.Stdout.WriteString(strings.Repeat("x", 2*cosim.MaxFrameBytes) + "\n")
+	io.Copy(io.Discard, in) // hold stdout open until the parent hangs up
+	os.Exit(0)
 }
 
 // childConfig builds a supervisor config that re-execs this test binary as
@@ -210,6 +236,24 @@ func TestSupervisorSlowReplySkew(t *testing.T) {
 	info := exchangeOne(t, sup, qs[1], want[1])
 	if !notesContain(info.Notes, "strike") {
 		t.Fatalf("no strike after an over-deadline reply: %+v", info.Notes)
+	}
+}
+
+// TestSupervisorOversizedReplyStrike: a reply line past MaxFrameBytes is
+// a protocol-error strike against the child, not a report that it exited.
+func TestSupervisorOversizedReplyStrike(t *testing.T) {
+	cfg := childConfig("", "")
+	cfg.Env = []string{"MBCOSIM_CHILD=oversize"}
+	sup := newSupervisor(t, cfg)
+	qs, want := distinctQueries(1)
+	// Every spawn answers oversized, so the strikes open the circuit and
+	// the in-process fallback answers with the same bytes.
+	info := exchangeOne(t, sup, qs[0], want[0])
+	if !notesContain(info.Notes, "protocol error: frame exceeds") {
+		t.Fatalf("oversized reply did not strike as a protocol error: %+v", info.Notes)
+	}
+	if notesContain(info.Notes, "EOF") {
+		t.Fatalf("oversized reply reported as a child exit: %+v", info.Notes)
 	}
 }
 

@@ -6,7 +6,6 @@
 package dist
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -17,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"mobilebench/internal/wire"
 	"mobilebench/internal/xrand"
 )
 
@@ -158,8 +158,8 @@ func (c *Coordinator) Serve(ln net.Listener) {
 // handleConn runs one worker connection: handshake, then the frame loop.
 func (c *Coordinator) handleConn(conn net.Conn) {
 	defer conn.Close()
-	r := bufio.NewReaderSize(conn, 64<<10)
-	f, err := readFrame(r)
+	r := wire.NewReader[Frame](conn, MaxFrameBytes)
+	f, err := r.Next()
 	if err != nil || f.Type != TypeHello {
 		_ = writeFrame(conn, &sync.Mutex{}, Frame{Type: TypeReject, Error: "expected a hello frame"})
 		return
@@ -191,7 +191,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	c.pulseFreed() // fresh capacity: wake saturated dispatchers
 
 	for {
-		f, err := readFrame(r)
+		f, err := r.Next()
 		if err != nil {
 			return // connection death revokes every lease via dropWorker
 		}
@@ -493,37 +493,11 @@ func (c *Coordinator) Close() {
 	c.done.Wait()
 }
 
-// readFrame reads one newline-delimited frame, enforcing the size bound.
-func readFrame(r *bufio.Reader) (Frame, error) {
-	var line []byte
-	for {
-		chunk, err := r.ReadSlice('\n')
-		line = append(line, chunk...)
-		if len(line) > MaxFrameBytes {
-			return Frame{}, &ProtoError{Reason: fmt.Sprintf("frame exceeds the %d-byte bound", MaxFrameBytes)}
-		}
-		if err == nil {
-			break
-		}
-		if errors.Is(err, bufio.ErrBufferFull) {
-			continue
-		}
-		return Frame{}, err
-	}
-	return ParseFrame(line)
-}
-
-// writeFrame encodes and writes one frame under the connection's write
-// mutex (results, heartbeats and dispatches interleave from different
-// goroutines).
+// writeFrame writes one frame under the connection's write mutex: results,
+// heartbeats and dispatches interleave from different goroutines.
 func writeFrame(conn net.Conn, mu *sync.Mutex, f Frame) error {
-	data, err := EncodeFrame(f)
-	if err != nil {
-		return err
-	}
 	mu.Lock()
 	defer mu.Unlock()
 	//mblint:ignore mutexhold mu is this connection's dedicated write mutex — serializing writers across conn.Write is its whole job, and a wedged peer stalls only its own connection (reaped by the heartbeat deadline)
-	_, err = conn.Write(data)
-	return err
+	return wire.Write(conn, f, MaxFrameBytes)
 }

@@ -25,9 +25,10 @@
 package dist
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
+
+	"mobilebench/internal/wire"
 )
 
 // ProtoVersion is the wire-protocol version this build speaks. A hello
@@ -103,34 +104,12 @@ type Frame struct {
 // ProtoError reports a frame that failed decoding or validation. The
 // connection carrying it is broken and must be torn down; leases ride on
 // connection health, so the jobs it carried are re-dispatched.
-type ProtoError struct {
-	Reason string
-}
+type ProtoError = wire.Error
 
-// Error implements error.
-func (e *ProtoError) Error() string { return "dist: protocol error: " + e.Reason }
-
-// ParseFrame decodes and validates one frame line. It never panics on any
-// input: malformed JSON, oversized lines, unknown types and frames missing
-// their type's required fields all return a *ProtoError.
+// ParseFrame decodes and validates one frame line; any input it refuses,
+// it refuses with a *ProtoError, never a panic (see wire.Parse).
 func ParseFrame(line []byte) (Frame, error) {
-	var f Frame
-	if len(line) > MaxFrameBytes {
-		return f, &ProtoError{Reason: fmt.Sprintf("frame of %d bytes exceeds the %d-byte bound", len(line), MaxFrameBytes)}
-	}
-	dec := json.NewDecoder(bytes.NewReader(line))
-	if err := dec.Decode(&f); err != nil {
-		return Frame{}, &ProtoError{Reason: "undecodable frame: " + err.Error()}
-	}
-	// One object per line: trailing non-space bytes are a framing bug, not
-	// data to be silently dropped.
-	if dec.More() {
-		return Frame{}, &ProtoError{Reason: "trailing data after the frame object"}
-	}
-	if err := f.Validate(); err != nil {
-		return Frame{}, err
-	}
-	return f, nil
+	return wire.Parse[Frame](line, MaxFrameBytes)
 }
 
 // Validate enforces the per-type required fields.
@@ -158,8 +137,8 @@ func (f Frame) Validate() error {
 		if f.Lease == "" || f.Job == "" {
 			return &ProtoError{Reason: "dispatch without lease and job ids"}
 		}
-		if len(f.Spec) == 0 || !json.Valid(f.Spec) {
-			return &ProtoError{Reason: "dispatch without a valid spec document"}
+		if len(f.Spec) == 0 {
+			return &ProtoError{Reason: "dispatch without a spec document"}
 		}
 	case TypeHeartbeat:
 		if f.Lease == "" {
@@ -172,8 +151,8 @@ func (f Frame) Validate() error {
 		if f.Lease == "" || f.Job == "" {
 			return &ProtoError{Reason: "result without lease and job ids"}
 		}
-		if len(f.Result) == 0 || !json.Valid(f.Result) {
-			return &ProtoError{Reason: "result without a valid result document"}
+		if len(f.Result) == 0 {
+			return &ProtoError{Reason: "result without a result document"}
 		}
 	case TypeFail:
 		if f.Lease == "" || f.Job == "" {
@@ -193,15 +172,5 @@ func (f Frame) Validate() error {
 // EncodeFrame serializes a validated frame as one newline-terminated JSON
 // line, the exact bytes ParseFrame accepts back.
 func EncodeFrame(f Frame) ([]byte, error) {
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	data, err := json.Marshal(f)
-	if err != nil {
-		return nil, &ProtoError{Reason: "unencodable frame: " + err.Error()}
-	}
-	if len(data) > MaxFrameBytes {
-		return nil, &ProtoError{Reason: fmt.Sprintf("frame of %d bytes exceeds the %d-byte bound", len(data), MaxFrameBytes)}
-	}
-	return append(data, '\n'), nil
+	return wire.Encode(f, MaxFrameBytes)
 }

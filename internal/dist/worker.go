@@ -6,7 +6,6 @@
 package dist
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -14,6 +13,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"mobilebench/internal/wire"
 )
 
 // ExecFunc executes one dispatched job: the opaque spec document, with
@@ -157,8 +158,8 @@ func (w *Worker) session(ctx context.Context, addr string) error {
 	}); err != nil {
 		return err
 	}
-	r := bufio.NewReaderSize(conn, 64<<10)
-	f, err := readFrame(r)
+	r := wire.NewReader[Frame](conn, MaxFrameBytes)
+	f, err := r.Next()
 	if err != nil {
 		return err
 	}
@@ -184,7 +185,7 @@ func (w *Worker) session(ctx context.Context, addr string) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		f, err := readFrame(r)
+		f, err := r.Next()
 		if err != nil {
 			return err
 		}

@@ -134,7 +134,8 @@ func (e *streamEngine) ingest(rec core.StreamRecord) (core.StreamDelta, error) {
 		return core.StreamDelta{}, err
 	}
 	// Persist before accept: if the append fails the record was never
-	// acked and the engine never sees it.
+	// acked and the engine never sees it. The log rolls a failed append's
+	// bytes back, so the next ingest reuses this sequence number cleanly.
 	//mblint:ignore mutexhold the persist-then-fold sequence IS the critical section — the fsynced append and the engine fold must land in the same order for every record, or a crash could replay records in an order the acked deltas never saw; one fsync of one line is bounded
 	if err := e.log.Append(payload); err != nil {
 		return core.StreamDelta{}, err
@@ -185,8 +186,12 @@ func (e *streamEngine) changesSince(since uint64) ([]core.StreamDelta, uint64) {
 }
 
 // reportSpec builds the batch re-analysis job for the current stream: a
-// "streamreport" spec carrying a snapshot of the folded records, whose
-// cold StreamBatch result is byte-identical to the incremental summary.
+// "streamreport" spec carrying a snapshot of the folded records, analyzed
+// cold by StreamBatch. Its units, gen and last_seq always equal the
+// incremental summary's; the sweep-derived fields do too under
+// StreamConfig.Exact, but in the default warm mode a warm-started cell can
+// settle on a different local optimum than the cold sweep (see
+// cluster.SweepOptions), so those fields may differ.
 func (e *streamEngine) reportSpec() Spec {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -267,8 +272,9 @@ func (s *Server) handleStreamChanges(w http.ResponseWriter, r *http.Request) {
 
 // handleStreamReport submits a batch re-analysis of the ingested stream as
 // a regular job: it runs through the queue, the content-addressed cache
-// and — in coordinator mode — the fleet's lease protocol, and its result
-// bytes match the incremental summary.
+// and — in coordinator mode — the fleet's lease protocol. Its result is the
+// cold analysis of the same records; it matches the incremental summary
+// byte for byte only with -stream-exact (see reportSpec).
 func (s *Server) handleStreamReport(w http.ResponseWriter, _ *http.Request) {
 	job, err := s.Submit(s.stream.reportSpec())
 	if err != nil {
