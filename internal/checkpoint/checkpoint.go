@@ -1,31 +1,41 @@
 // Package checkpoint provides crash-safe persistence for long collections.
 //
-// A Snapshot records every completed (unit, run) of a collection — the
-// simulation result, the attempt counter and the run's provenance — in a
-// versioned, CRC-checksummed binary file. The file is replaced atomically
-// (write to a temp file in the same directory, fsync, rename, fsync the
-// directory) after every completed pair, so a killed process always finds
-// either the previous consistent snapshot or the new one, never a torn
-// write. A resumed collection restores the completed pairs bit-for-bit and
-// re-runs only the remainder; because the simulator derives every value
-// from (seed, unit, run, attempt), the resumed dataset is identical to an
-// uninterrupted one.
+// A collection checkpoint records every completed (unit, run) — the
+// simulation result, the attempt counter and the run's provenance — as a
+// collection log: an append-only Log (see log.go) whose first record is a
+// header carrying the magic, the schema version and the options
+// fingerprint, followed by one CRC-framed record per completed pair.
+// Writer.Put appends and fsyncs one record, so an acked pair survives a
+// crash, and a crash mid-append leaves only a torn final record that Load
+// drops (its pair was never acked and re-runs on resume). A resumed
+// collection restores the completed pairs bit-for-bit and re-runs only the
+// remainder; because the simulator derives every value from (seed, unit,
+// run, attempt), the resumed dataset is identical to an uninterrupted one.
 //
-// Corrupt or mismatched snapshots never poison a dataset silently: Load
-// verifies the checksum (*CorruptError), the schema version
+// Snapshot and Encode are the in-memory and canonical binary forms of the
+// same records. Older builds wrote the Encode bytes (magic MBCP) as the
+// checkpoint file itself, rewritten atomically after every pair; Load still
+// reads such files, and the next Put replaces them with a log.
+//
+// Corrupt or mismatched checkpoints never poison a dataset silently: Load
+// verifies the checksums (*CorruptError), the schema version
 // (*VersionError) and the collection-options fingerprint
 // (*MismatchError) before a single record is trusted.
 package checkpoint
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 
 	"mobilebench/internal/profiler"
@@ -35,28 +45,35 @@ import (
 
 // Format constants. Version is bumped whenever the record layout changes
 // (including any change to the serialized sim.Aggregates field set);
-// snapshots from other versions are rejected with a *VersionError rather
-// than decoded on luck.
+// checkpoints from other versions are rejected with a *VersionError rather
+// than decoded on luck. Collection logs and MBCP snapshots share it: both
+// hold encodeRecord bytes.
 const (
-	// Version is the snapshot schema version this package writes.
+	// Version is the record schema version this package writes.
 	Version uint32 = 1
 )
 
-// magic identifies a mobilebench checkpoint file.
+// magic opens the Encode form (and the checkpoint files of older builds).
 var magic = [4]byte{'M', 'B', 'C', 'P'}
 
-// CorruptError reports a snapshot that failed structural verification:
-// a bad magic number, a checksum mismatch, a truncated file or an
-// undecodable record. The snapshot must be discarded.
+// CorruptError reports a checkpoint that failed structural verification:
+// a bad magic number or header, a checksum mismatch, a truncated snapshot
+// or an undecodable record. The checkpoint must be discarded.
 type CorruptError struct {
 	Path   string
 	Reason string
+	// Err is the underlying *CorruptLogError when an acked record of a
+	// collection log is damaged, else nil.
+	Err error
 }
 
 // Error implements error.
 func (e *CorruptError) Error() string {
 	return fmt.Sprintf("checkpoint: %s is corrupt: %s", e.Path, e.Reason)
 }
+
+// Unwrap returns the underlying log error, if any.
+func (e *CorruptError) Unwrap() error { return e.Err }
 
 // VersionError reports a snapshot written by an incompatible schema
 // version.
@@ -112,7 +129,8 @@ type RunRecord struct {
 	Result *sim.Result
 }
 
-// Snapshot is the full persisted state of one collection.
+// Snapshot is the full persisted state of one collection, as Load returns
+// it.
 type Snapshot struct {
 	// Fingerprint binds the snapshot to the collection options that
 	// produced it.
@@ -131,8 +149,10 @@ func (s *Snapshot) Find(unit string, run int) *RunRecord {
 	return nil
 }
 
-// Encode serializes the snapshot: magic, version, fingerprint, records,
-// and a trailing CRC-32 over everything before it.
+// Encode serializes the snapshot in its canonical binary form: magic,
+// version, fingerprint, records, and a trailing CRC-32 over everything
+// before it. Writer does not write this form; it is what content digests
+// of a collection hash, and what checkpoints from older builds hold.
 func Encode(s *Snapshot) []byte {
 	var b bytes.Buffer
 	b.Write(magic[:])
@@ -220,7 +240,7 @@ func putString(b *bytes.Buffer, s string) {
 	b.WriteString(s)
 }
 
-// Decode parses and verifies snapshot bytes. path is used only for error
+// Decode parses and verifies Encode bytes. path is used only for error
 // messages. A wantFingerprint of 0 skips the fingerprint check (used by
 // inspection tooling); collections always pass their real fingerprint.
 func Decode(path string, data []byte, wantFingerprint uint64) (*Snapshot, error) {
@@ -367,29 +387,132 @@ func (d *decoder) record() (RunRecord, error) {
 	return r, nil
 }
 
-// Save atomically replaces path with the encoded snapshot.
-func Save(path string, s *Snapshot) error {
-	return WriteFile(path, Encode(s), 0o644)
-}
-
-// Load reads and verifies the snapshot at path. It returns the raw
-// os.ReadFile error (satisfying errors.Is(err, fs.ErrNotExist)) when the
-// file is missing, and the package's typed errors on corruption, version
-// skew or a fingerprint mismatch.
+// Load reads and verifies the checkpoint at path: a collection log as
+// Writer leaves it, or a v1 MBCP snapshot from an older build (read-only:
+// the next Put replaces it with a log). It returns the raw os.ReadFile
+// error (satisfying errors.Is(err, fs.ErrNotExist)) when the file is
+// missing, and the package's typed errors on corruption, version skew or a
+// fingerprint mismatch. A wantFingerprint of 0 skips the fingerprint check.
 func Load(path string, wantFingerprint uint64) (*Snapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return Decode(path, data, wantFingerprint)
+	if bytes.HasPrefix(data, magic[:]) {
+		return Decode(path, data, wantFingerprint)
+	}
+	return decodeLog(path, data, wantFingerprint)
+}
+
+// logMagic opens a collection log's header record.
+const logMagic = "MBCL"
+
+// logHeader renders the header record: magic, schema version, fingerprint.
+func logHeader(fingerprint uint64) []byte {
+	return fmt.Appendf(nil, "%s %d %016x", logMagic, Version, fingerprint)
+}
+
+// recordPayload renders rec as a collection-log payload: its encodeRecord
+// bytes in base64, which keeps the payload free of newlines.
+func recordPayload(rec *RunRecord) []byte {
+	var b bytes.Buffer
+	encodeRecord(&b, rec)
+	return base64.StdEncoding.AppendEncode(nil, b.Bytes())
+}
+
+// decodeLog parses a collection log's bytes. A torn final record was never
+// acked and is dropped; a damaged acked record is a *CorruptError wrapping
+// the *CorruptLogError. Records come back in first-Put order, the last Put
+// for a (unit, run) winning.
+func decodeLog(path string, data []byte, wantFingerprint uint64) (*Snapshot, error) {
+	var s *Snapshot
+	type key struct {
+		unit string
+		run  int
+	}
+	at := map[key]int{}
+	var raw []byte
+	_, err := scanLog(path, data, func(line int, payload []byte) error {
+		if s == nil {
+			fp, err := parseLogHeader(path, payload)
+			if err != nil {
+				return err
+			}
+			if wantFingerprint != 0 && fp != wantFingerprint {
+				return &MismatchError{Path: path, Got: fp, Want: wantFingerprint}
+			}
+			s = &Snapshot{Fingerprint: fp}
+			return nil
+		}
+		var err error
+		if raw, err = base64.StdEncoding.AppendDecode(raw[:0], payload); err != nil {
+			return &CorruptError{Path: path, Reason: fmt.Sprintf("line %d: record is not base64: %v", line, err)}
+		}
+		d := &decoder{path: path, data: raw}
+		rec, err := d.record()
+		if err != nil {
+			return err
+		}
+		if d.err == nil && d.off != len(raw) {
+			d.err = fmt.Errorf("%d trailing bytes after the record", len(raw)-d.off)
+		}
+		if d.err != nil {
+			return &CorruptError{Path: path, Reason: fmt.Sprintf("line %d: %v", line, d.err)}
+		}
+		k := key{rec.Unit, rec.Run}
+		if i, ok := at[k]; ok {
+			s.Records[i] = rec
+		} else {
+			at[k] = len(s.Records)
+			s.Records = append(s.Records, rec)
+		}
+		return nil
+	})
+	var le *CorruptLogError
+	if errors.As(err, &le) {
+		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("line %d: %s", le.Line, le.Why), Err: le}
+	}
+	if err != nil {
+		return nil, err
+	}
+	if s == nil {
+		return nil, &CorruptError{Path: path, Reason: "no header record (not a mobilebench checkpoint)"}
+	}
+	return s, nil
+}
+
+// parseLogHeader verifies a header record and returns its fingerprint. The
+// version is checked before the rest of the layout, so a header from a
+// later schema is a *VersionError even if its fields differ.
+func parseLogHeader(path string, p []byte) (uint64, error) {
+	f := strings.Fields(string(p))
+	if len(f) < 2 || f[0] != logMagic {
+		return 0, &CorruptError{Path: path, Reason: "bad header record (not a mobilebench checkpoint)"}
+	}
+	v, err := strconv.ParseUint(f[1], 10, 32)
+	if err != nil {
+		return 0, &CorruptError{Path: path, Reason: fmt.Sprintf("bad schema version %q in header", f[1])}
+	}
+	if uint32(v) != Version {
+		return 0, &VersionError{Path: path, Got: uint32(v), Want: Version}
+	}
+	if len(f) != 3 {
+		return 0, &CorruptError{Path: path, Reason: "bad header record layout"}
+	}
+	fp, err := strconv.ParseUint(f[2], 16, 64)
+	if err != nil {
+		return 0, &CorruptError{Path: path, Reason: fmt.Sprintf("bad fingerprint %q in header", f[2])}
+	}
+	return fp, nil
 }
 
 // AtomicFile is a file whose content becomes visible at the destination
 // path only on Commit: writes go to a temp file in the same directory,
 // Commit fsyncs, renames over the destination and fsyncs the directory.
 // A crash before Commit leaves the previous file untouched. It is the
-// write path for every durable artifact in the repository (checkpoints,
-// CLI -o outputs, served job state).
+// write path for every durable artifact that is replaced whole (the file a
+// collection log starts from, CLI -o outputs, served job state); Log
+// appends to files it created.
 type AtomicFile struct {
 	f         *os.File
 	path      string
@@ -484,43 +607,76 @@ func WriteTo(path string, write func(w io.Writer) error) error {
 	return a.Commit()
 }
 
-// Writer maintains a snapshot on disk across concurrent record updates:
-// Put upserts a (unit, run) record and atomically rewrites the file, so
-// after every completed pair the on-disk snapshot is complete and
-// verifiable. Safe for concurrent use by the collection worker pool.
+// Writer persists a collection's completed (unit, run) records as a
+// collection log: a Log whose first record is a header carrying the magic,
+// the schema version and the options fingerprint, followed by one record
+// per Put, each the record's encodeRecord bytes in base64 (log payloads
+// must be newline-free). Put encodes outside the lock and then appends one
+// line with one write and one fsync, so the per-record cost no longer grows
+// with the collection. Safe for concurrent use by the collection worker
+// pool.
+//
+// The file is created on the first Put: one atomic WriteFile replaces
+// whatever was at path (an old MBCP snapshot, a log with a torn tail) with
+// the header, the existing records and that Put's record; later Puts
+// append. The file a sequence of Puts leaves is therefore a pure function
+// of (fingerprint, existing, Put sequence). Load returns the records in
+// first-Put order, the last Put for a (unit, run) winning.
 type Writer struct {
-	mu   sync.Mutex
-	path string
-	snap Snapshot
+	mu          sync.Mutex
+	path        string
+	fingerprint uint64
+	existing    []RunRecord // written by the first Put, then dropped
+	log         *Log        // nil until the first Put creates the file
 }
 
-// NewWriter creates a writer for path. existing seeds the snapshot with
-// records restored from a previous process (they are preserved in the
-// rewritten file so a resumed collection keeps checkpointing from where
-// it left off).
+// NewWriter creates a writer for path. existing holds the records restored
+// from a previous process; the first Put writes them into the new file so
+// a resumed collection keeps checkpointing from where it left off.
 func NewWriter(path string, fingerprint uint64, existing []RunRecord) *Writer {
-	w := &Writer{path: path}
-	w.snap.Fingerprint = fingerprint
-	w.snap.Records = append(w.snap.Records, existing...)
-	return w
+	return &Writer{path: path, fingerprint: fingerprint, existing: existing}
 }
 
-// Put upserts the record and persists the snapshot atomically.
+// Put persists the record: when it returns nil the record is on disk. A
+// failed append is rolled back (see Log.Append), so the next Put appends
+// cleanly; if the rollback failed too, every later Put returns its error.
 func (w *Writer) Put(rec RunRecord) error {
+	payload := recordPayload(&rec)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if old := w.snap.Find(rec.Unit, rec.Run); old != nil {
-		*old = rec
-	} else {
-		w.snap.Records = append(w.snap.Records, rec)
+	if w.log == nil {
+		//mblint:ignore mutexhold the first Put creates the file once, and a concurrent Put must not append before it exists; after that w.mu serializes only one write and one fsync of an already-encoded record
+		return w.create(payload)
 	}
-	//mblint:ignore mutexhold the save IS the critical section: Put's contract is that the on-disk snapshot is complete after every record, so concurrent rewrites must serialize under w.mu
-	return Save(w.path, &w.snap)
+	return w.log.Append(payload)
 }
 
-// Len returns how many records the snapshot holds.
-func (w *Writer) Len() int {
+// create writes the header, the existing records and payload in one atomic
+// WriteFile, then opens the file for appending.
+func (w *Writer) create(payload []byte) error {
+	buf := appendFrame(nil, logHeader(w.fingerprint))
+	for i := range w.existing {
+		buf = appendFrame(buf, recordPayload(&w.existing[i]))
+	}
+	buf = appendFrame(buf, payload)
+	if err := WriteFile(w.path, buf, 0o644); err != nil {
+		return err
+	}
+	l, err := OpenLog(w.path)
+	if err != nil {
+		return err
+	}
+	w.log, w.existing = l, nil
+	return nil
+}
+
+// Close closes the log file, if a Put created one. It must be the
+// writer's last call.
+func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return len(w.snap.Records)
+	if w.log == nil {
+		return nil
+	}
+	return w.log.Close()
 }

@@ -93,20 +93,28 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveLoad: both on-disk forms load back to the same snapshot — an
+// MBCP file as older builds wrote it, and the collection log a Writer
+// leaves — and a missing file is fs.ErrNotExist.
 func TestSaveLoad(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "c.ckpt")
+	dir := t.TempDir()
 	snap := testSnapshot()
-	if err := Save(path, snap); err != nil {
-		t.Fatalf("Save: %v", err)
+	mbcp := filepath.Join(dir, "old.ckpt")
+	if err := WriteFile(mbcp, Encode(snap), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	got, err := Load(path, snap.Fingerprint)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
+	logged := filepath.Join(dir, "log.ckpt")
+	putAll(t, logged, snap.Fingerprint, snap.Records)
+	for _, path := range []string{mbcp, logged} {
+		got, err := Load(path, snap.Fingerprint)
+		if err != nil {
+			t.Fatalf("Load(%s): %v", filepath.Base(path), err)
+		}
+		if !reflect.DeepEqual(got, snap) {
+			t.Fatalf("Load(%s) differs from the saved snapshot", filepath.Base(path))
+		}
 	}
-	if !reflect.DeepEqual(got, snap) {
-		t.Fatal("loaded snapshot differs from saved one")
-	}
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.ckpt"), 1); !errors.Is(err, fs.ErrNotExist) {
+	if _, err := Load(filepath.Join(dir, "missing.ckpt"), 1); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("missing file: err = %v, want fs.ErrNotExist", err)
 	}
 }
@@ -223,36 +231,26 @@ func TestWriteFileAtomicReplacement(t *testing.T) {
 
 func TestWriterUpsertsAndPersists(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "w.ckpt")
-	w := NewWriter(path, 77, nil)
-	if err := w.Put(RunRecord{Unit: "a", Run: 0, Attempts: 1, Result: testResult("a", 1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Put(RunRecord{Unit: "a", Run: 1, Attempts: 1, Result: testResult("a", 2)}); err != nil {
-		t.Fatal(err)
-	}
-	// Upsert: a re-run replaces its record instead of duplicating it.
-	if err := w.Put(RunRecord{Unit: "a", Run: 0, Attempts: 2, Result: testResult("a", 3)}); err != nil {
-		t.Fatal(err)
-	}
-	if w.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", w.Len())
-	}
+	putAll(t, path, 77, []RunRecord{
+		{Unit: "a", Run: 0, Attempts: 1, Result: testResult("a", 1)},
+		{Unit: "a", Run: 1, Attempts: 1, Result: testResult("a", 2)},
+		// Upsert: a re-run replaces its record instead of duplicating it,
+		// and keeps its first-Put position.
+		{Unit: "a", Run: 0, Attempts: 2, Result: testResult("a", 3)},
+	})
 	snap, err := Load(path, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Records) != 2 {
-		t.Fatalf("persisted %d records, want 2", len(snap.Records))
+	if len(snap.Records) != 2 || snap.Records[0].Run != 0 || snap.Records[1].Run != 1 {
+		t.Fatalf("persisted %+v, want runs 0 and 1 in first-Put order", snap.Records)
 	}
 	if rec := snap.Find("a", 0); rec == nil || rec.Attempts != 2 {
 		t.Fatalf("upserted record not persisted: %+v", rec)
 	}
 
 	// A writer seeded with restored records preserves them on the next Put.
-	w2 := NewWriter(path, 77, snap.Records)
-	if err := w2.Put(RunRecord{Unit: "b", Run: 0, Attempts: 1, Result: testResult("b", 1)}); err != nil {
-		t.Fatal(err)
-	}
+	putAll(t, path, 77, []RunRecord{{Unit: "b", Run: 0, Attempts: 1, Result: testResult("b", 1)}}, snap.Records...)
 	snap2, err := Load(path, 77)
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,9 @@
-// Append-only record log: the persist-before-accept store behind streaming
-// ingest and the cosim replay log. Where the MBCP snapshot rewrites the
-// whole state atomically per update, small records want O(1) appends — each
-// record becomes one CRC-guarded line, fsynced before the append returns,
-// so an acked record survives a crash and a torn final write (power loss
-// mid-append) is detected and dropped without condemning the records
+// Append-only record log: the one durable-write primitive behind the
+// collection checkpoint (Writer), streaming ingest and the cosim replay
+// log. Each record becomes one CRC-guarded line, fsynced before the append
+// returns, so an acked record survives a crash, the cost of an append does
+// not grow with what the file already holds, and a torn final write (power
+// loss mid-append) is detected and dropped without condemning the records
 // before it.
 //
 // Framing: one record per line, "crc32c-hex payload\n". The payload is an
@@ -32,8 +32,8 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Log is an append-only record log. Appends are durable when they return;
 // concurrent appenders must serialize externally (the log holds no lock:
-// each caller — the stream ingest path, the cosim replay log — already
-// owns the ordering). A Log must be its file's only writer: a failed
+// each caller — Writer, the stream ingest path, the cosim replay log —
+// already owns the ordering). A Log must be its file's only writer: a failed
 // append truncates the file back to the length this Log last wrote.
 type Log struct {
 	f    logFile
@@ -78,13 +78,16 @@ func (l *Log) Append(payloads ...[]byte) error {
 	if l.err != nil {
 		return l.err
 	}
-	var buf []byte
+	n := 0
 	for _, p := range payloads {
 		if bytes.IndexByte(p, '\n') >= 0 {
 			return fmt.Errorf("checkpoint: log payload must not contain a newline")
 		}
-		buf = fmt.Appendf(buf, "%08x ", crc32.Checksum(p, crcTable))
-		buf = append(append(buf, p...), '\n')
+		n += frameOverhead + len(p)
+	}
+	buf := make([]byte, 0, n)
+	for _, p := range payloads {
+		buf = appendFrame(buf, p)
 	}
 	_, err := l.f.Write(buf)
 	if err == nil {
@@ -100,6 +103,17 @@ func (l *Log) Append(payloads ...[]byte) error {
 		return l.err
 	}
 	return err
+}
+
+// frameOverhead is the framing one record adds to its payload: eight CRC
+// hex digits, a space and the newline.
+const frameOverhead = 10
+
+// appendFrame appends payload to buf as one record line. The payload must
+// not contain a newline.
+func appendFrame(buf, payload []byte) []byte {
+	buf = fmt.Appendf(buf, "%08x ", crc32.Checksum(payload, crcTable))
+	return append(append(buf, payload...), '\n')
 }
 
 // Close closes the underlying file.
@@ -136,24 +150,39 @@ func ReadLog(path string) ([][]byte, int64, error) {
 		return nil, 0, fmt.Errorf("checkpoint: reading log: %w", err)
 	}
 	var out [][]byte
+	valid, err := scanLog(path, data, func(_ int, payload []byte) error {
+		out = append(out, payload)
+		return nil
+	})
+	if err != nil {
+		return nil, valid, err
+	}
+	return out, valid, nil
+}
+
+// scanLog walks the records of a log file's bytes in append order, calling
+// fn with each acked payload (a slice of data) and its 1-based line number,
+// and returns the valid-prefix length as ReadLog does: a torn final line
+// ends the walk, a damaged newline-terminated line is a *CorruptLogError,
+// and an error from fn stops the walk and is returned as is.
+func scanLog(path string, data []byte, fn func(line int, payload []byte) error) (int64, error) {
 	valid := int64(0)
-	lineNo := 0
-	for len(data) > 0 {
-		lineNo++
+	for lineNo := 1; len(data) > 0; lineNo++ {
 		i := bytes.IndexByte(data, '\n')
 		if i < 0 {
 			break // torn append: never acked, excluded from the valid prefix
 		}
-		line := data[:i]
-		data = data[i+1:]
-		payload, why := parseLogLine(line)
+		payload, why := parseLogLine(data[:i])
 		if why != "" {
-			return nil, valid, &CorruptLogError{Path: path, Line: lineNo, Why: why}
+			return valid, &CorruptLogError{Path: path, Line: lineNo, Why: why}
 		}
-		out = append(out, payload)
+		if err := fn(lineNo, payload); err != nil {
+			return valid, err
+		}
+		data = data[i+1:]
 		valid += int64(i) + 1
 	}
-	return out, valid, nil
+	return valid, nil
 }
 
 // TruncateLog drops a torn final append by truncating the log at path to
@@ -190,13 +219,13 @@ func TruncateLog(path string, size int64) error {
 }
 
 // parseLogLine splits "crc32c-hex payload" and verifies the CRC, returning
-// the payload or a non-empty reason.
+// the payload (a slice of line) or a non-empty reason.
 func parseLogLine(line []byte) ([]byte, string) {
 	if len(line) < 9 || line[8] != ' ' {
 		return nil, "malformed record framing"
 	}
-	sum := make([]byte, 4)
-	if _, err := hex.Decode(sum, line[:8]); err != nil {
+	var sum [4]byte
+	if _, err := hex.Decode(sum[:], line[:8]); err != nil {
 		return nil, "malformed CRC"
 	}
 	want := uint32(sum[0])<<24 | uint32(sum[1])<<16 | uint32(sum[2])<<8 | uint32(sum[3])
@@ -204,5 +233,5 @@ func parseLogLine(line []byte) ([]byte, string) {
 	if crc32.Checksum(payload, crcTable) != want {
 		return nil, "CRC mismatch"
 	}
-	return append([]byte(nil), payload...), ""
+	return payload, ""
 }

@@ -1,6 +1,7 @@
 // Crash-safe collection: the glue between the collection fan-out and
-// internal/checkpoint. Every completed (unit, run) is persisted atomically,
-// and a resumed collection restores those pairs bit-for-bit — including the
+// internal/checkpoint. Every completed (unit, run) is appended to the
+// collection log as one fsynced record before the pair counts as done, and
+// a resumed collection restores those pairs bit-for-bit — including the
 // monotonic attempt counter, so post-restore outlier re-runs draw the same
 // fault-injection decisions an uninterrupted collection would.
 package core
@@ -144,6 +145,14 @@ func openCollectCheckpoint(path string, resume bool, fingerprint uint64) (*colle
 	return cc, nil
 }
 
+// close releases the collection log's file.
+func (cc *collectCheckpoint) close() error {
+	if cc == nil {
+		return nil
+	}
+	return cc.writer.Close()
+}
+
 // restore loads the persisted record for (unit, run) into st, reporting
 // whether the pair can be skipped. A failed record is restored as the
 // permanent RunError it was, so MinRuns degradation and error aggregation
@@ -177,8 +186,8 @@ func (cc *collectCheckpoint) restore(unit string, run int, st *runState) bool {
 	return true
 }
 
-// record persists the completed (unit, run) state atomically; after it
-// returns, a killed process can resume past this pair.
+// record persists the completed (unit, run) state; after it returns, a
+// killed process can resume past this pair.
 func (cc *collectCheckpoint) record(unit string, run int, st *runState) error {
 	if cc == nil {
 		return nil

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"hash/fnv"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -26,29 +29,68 @@ func collectOrFatal(t *testing.T, ctx context.Context, opts Options) *Dataset {
 	return ds
 }
 
-// assertResumesBitIdentical simulates a crash at every (unit, run) boundary:
-// for each k it writes a k-record prefix of the full snapshot — exactly the
-// file a process killed after its k-th completed pair leaves behind, because
-// records are persisted in completion order and Workers=1 completes pairs
-// sequentially — then resumes from it and demands the result deep-equal the
-// uninterrupted baseline.
-func assertResumesBitIdentical(t *testing.T, base *Dataset, full *checkpoint.Snapshot, opts Options) {
+// crashPoints enumerates the files a crash can leave in place of the
+// collection log full: none at all, the log cut at every record boundary
+// (a process killed between Puts), and the log cut halfway into every
+// record (a process killed mid-append, leaving a torn final record). It
+// returns each point's bytes (nil for "no file") and a label.
+func crashPoints(full []byte) ([][]byte, []string) {
+	points, labels := [][]byte{nil}, []string{"no file"}
+	lines := bytes.SplitAfter(full, []byte{'\n'})
+	end := 0
+	for i, line := range lines {
+		if len(line) == 0 {
+			continue
+		}
+		if i > 0 {
+			points = append(points, full[:end+len(line)/2])
+			labels = append(labels, fmt.Sprintf("torn inside record %d", i))
+		}
+		end += len(line)
+		points = append(points, full[:end])
+		labels = append(labels, fmt.Sprintf("after record %d", i))
+	}
+	return points, labels
+}
+
+// assertResumesBitIdentical crashes the collection at every point
+// crashPoints enumerates on its real checkpoint log, resumes from each, and
+// demands the result deep-equal the uninterrupted run. Records are appended
+// in completion order and Workers=1 completes pairs sequentially, so each
+// point is exactly what a process killed there leaves behind; a
+// sequential resume must then also finish with the uninterrupted log's
+// bytes.
+func assertResumesBitIdentical(t *testing.T, base *Dataset, logPath string, opts Options) {
 	t.Helper()
+	full, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, labels := crashPoints(full)
 	dir := t.TempDir()
-	for k := 0; k <= len(full.Records); k++ {
+	for i, data := range points {
 		path := filepath.Join(dir, "resume.ckpt")
-		prefix := &checkpoint.Snapshot{Fingerprint: full.Fingerprint, Records: full.Records[:k]}
-		if err := checkpoint.Save(path, prefix); err != nil {
-			t.Fatalf("k=%d: Save: %v", k, err)
+		if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			t.Fatal(err)
+		}
+		if data != nil {
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 		o := opts
 		o.Checkpoint, o.Resume = path, true
 		got := collectOrFatal(t, context.Background(), o)
 		if !reflect.DeepEqual(got.Units, base.Units) {
-			t.Fatalf("k=%d: resumed dataset differs from the uninterrupted baseline", k)
+			t.Fatalf("%s: resumed dataset differs from the uninterrupted baseline", labels[i])
 		}
 		if !reflect.DeepEqual(got.Provenance, base.Provenance) {
-			t.Fatalf("k=%d: resumed provenance differs:\n got %+v\nwant %+v", k, got.Provenance, base.Provenance)
+			t.Fatalf("%s: resumed provenance differs:\n got %+v\nwant %+v", labels[i], got.Provenance, base.Provenance)
+		}
+		if opts.Workers == 1 {
+			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, full) {
+				t.Fatalf("%s: the resumed collection's log differs from the uninterrupted one (%v)", labels[i], err)
+			}
 		}
 	}
 }
@@ -88,13 +130,51 @@ func TestCheckpointResumeEveryBoundary(t *testing.T) {
 		}
 	}
 
-	assertResumesBitIdentical(t, base, full, opts)
+	assertResumesBitIdentical(t, base, withCkpt.Checkpoint, opts)
 
 	// A resumed collection may also fan back out: restored pairs skip, the
 	// remainder parallelizes, and the merge order keeps it bit-identical.
 	wide := opts
 	wide.Workers = 4
-	assertResumesBitIdentical(t, base, full, wide)
+	assertResumesBitIdentical(t, base, withCkpt.Checkpoint, wide)
+}
+
+// TestCheckpointResumesFromMBCPSnapshot: a v1 MBCP snapshot, as older
+// builds left after every pair, still resumes bit-identically, and the
+// resumed collection's first Put replaces it with the collection log an
+// uninterrupted run writes.
+func TestCheckpointResumesFromMBCPSnapshot(t *testing.T) {
+	units := shortUnits()[:2]
+	opts := Options{Sim: sim.Config{Seed: 888}, Runs: 2, Units: units, Workers: 1}
+	withCkpt := opts
+	withCkpt.Checkpoint = filepath.Join(t.TempDir(), "full.ckpt")
+	base := collectOrFatal(t, context.Background(), withCkpt)
+	fp, err := opts.CheckpointFingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := checkpoint.Load(withCkpt.Checkpoint, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "old.ckpt")
+	old := &checkpoint.Snapshot{Fingerprint: fp, Records: full.Records[:1]}
+	if err := checkpoint.WriteFile(path, checkpoint.Encode(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re := opts
+	re.Checkpoint, re.Resume = path, true
+	got := collectOrFatal(t, context.Background(), re)
+	if !reflect.DeepEqual(got.Units, base.Units) || !reflect.DeepEqual(got.Provenance, base.Provenance) {
+		t.Fatal("resumed-from-MBCP dataset differs from the uninterrupted run")
+	}
+	want, err := os.ReadFile(withCkpt.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, want) {
+		t.Fatalf("the MBCP snapshot was not replaced by the uninterrupted run's log (%v)", err)
+	}
 }
 
 // TestCheckpointChaosResumeBitIdentical crosses the two robustness layers:
@@ -130,17 +210,9 @@ func TestCheckpointChaosResumeBitIdentical(t *testing.T) {
 		t.Fatalf("chaos collection degraded: %+v", chaos.Provenance)
 	}
 
-	fp, err := chaosOpts.CheckpointFingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := checkpoint.Load(withCkpt.Checkpoint, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// base here carries the provenance of the *chaos* run: a resumed chaos
 	// collection must reproduce the interrupted one's attempt history too.
-	assertResumesBitIdentical(t, chaos, full, chaosOpts)
+	assertResumesBitIdentical(t, chaos, withCkpt.Checkpoint, chaosOpts)
 }
 
 // TestCheckpointMidFlightCancellationResume kills a live collection the way

@@ -83,7 +83,7 @@ func (o Options) Validate() error {
 		return &OptionError{"Sim.TraceMode", m, "must be TraceFull, TraceStreamed or TraceAuto"}
 	}
 	if o.Resume && o.Checkpoint == "" {
-		return &OptionError{"Resume", o.Resume, "requires Checkpoint to name the snapshot file to resume from"}
+		return &OptionError{"Resume", o.Resume, "requires Checkpoint to name the file to resume from"}
 	}
 	if o.Checkpoint != "" && o.Sim.TraceMode != sim.TraceFull {
 		return &OptionError{"Checkpoint", o.Checkpoint,

@@ -75,6 +75,15 @@ type streamWedgedError struct{ err error }
 func (e *streamWedgedError) Error() string { return e.err.Error() }
 func (e *streamWedgedError) Unwrap() error { return e.err }
 
+// streamPersistError reports that a record could not be made durable: the
+// log append failed (a server-side I/O error, or the log's sticky error
+// once a failed append could not be rolled back). The record was never
+// acked, and the client's record is not at fault.
+type streamPersistError struct{ err error }
+
+func (e *streamPersistError) Error() string { return e.err.Error() }
+func (e *streamPersistError) Unwrap() error { return e.err }
+
 // newStreamEngine builds the engine, replaying any records a previous
 // process durably acked. Replay re-folds each record through the same
 // deterministic ingest the live path uses, so the rebuilt sweep, summary
@@ -138,7 +147,7 @@ func (e *streamEngine) ingest(rec core.StreamRecord) (core.StreamDelta, error) {
 	// bytes back, so the next ingest reuses this sequence number cleanly.
 	//mblint:ignore mutexhold the persist-then-fold sequence IS the critical section — the fsynced append and the engine fold must land in the same order for every record, or a crash could replay records in an order the acked deltas never saw; one fsync of one line is bounded
 	if err := e.log.Append(payload); err != nil {
-		return core.StreamDelta{}, err
+		return core.StreamDelta{}, &streamPersistError{err: err}
 	}
 	// The record is durable, so the fold must complete: Background, not a
 	// request context — a client disconnect must not leave a persisted
@@ -229,10 +238,14 @@ func (s *Server) handleStreamIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	delta, err := s.stream.ingest(rec)
 	if err != nil {
-		var wedged *streamWedgedError
-		if errors.As(err, &wedged) {
-			// Server-side failure, not a bad record: the engine refuses
-			// ingests until a restart replays the log.
+		var (
+			wedged  *streamWedgedError
+			persist *streamPersistError
+		)
+		if errors.As(err, &wedged) || errors.As(err, &persist) {
+			// Server-side failure, not a bad record: the record could not
+			// be persisted, or the engine refuses ingests until a restart
+			// replays the log.
 			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
 			return
 		}

@@ -14,9 +14,9 @@ import (
 )
 
 // TestStreamFailedAppendReackedAndReplayed: an append that fails after a
-// partial write leaves no bytes in stream.log, so the next ingest acks the
-// same sequence number and a restart replays every acked record. The
-// partial write is real: this process's file-size limit is lowered to a
+// partial write is answered 503 and leaves no bytes in stream.log, so the
+// next ingest acks the same sequence number and a restart replays every
+// acked record. The partial write is real: this process's file-size limit is lowered to a
 // few bytes past the log's end, so the kernel writes the head of the
 // record and refuses the rest with EFBIG (the Go runtime ignores
 // SIGXFSZ).
@@ -50,8 +50,8 @@ func TestStreamFailedAppendReackedAndReplayed(t *testing.T) {
 	if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &orig); err != nil {
 		t.Fatalf("restoring the file-size limit: %v", err)
 	}
-	if resp.StatusCode == http.StatusAccepted {
-		t.Fatal("ingest acked although its append hit the file-size limit")
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("ingest whose append hit the file-size limit answered %d, want 503 (a server-side failure)", resp.StatusCode)
 	}
 	after, err := os.Stat(logPath)
 	if err != nil {

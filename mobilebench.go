@@ -232,15 +232,15 @@ type Options struct {
 	// set plus summaries for the rest.
 	TraceMode TraceMode
 
-	// Checkpoint, when non-empty, names a snapshot file persisting every
-	// completed (benchmark, run) atomically, so a killed characterization
-	// loses at most the pair it was simulating.
+	// Checkpoint, when non-empty, names a file durably recording every
+	// completed (benchmark, run), so a killed characterization loses at
+	// most the pairs it was simulating.
 	Checkpoint string
 	// Resume restores completed (benchmark, run) pairs from the Checkpoint
-	// snapshot before collecting the remainder; the result is bit-identical
-	// to an uninterrupted characterization. A missing snapshot is a fresh
-	// start; a corrupt, version-skewed or options-mismatched one fails with
-	// a typed error from internal/checkpoint.
+	// file before collecting the remainder; the result is bit-identical to
+	// an uninterrupted characterization. A missing file is a fresh start;
+	// a corrupt, version-skewed or options-mismatched one fails with a
+	// typed error from internal/checkpoint.
 	Resume bool
 }
 
